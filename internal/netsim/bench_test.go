@@ -22,6 +22,20 @@ func BenchmarkCongestionAllToAll(b *testing.B) {
 func BenchmarkBatchShift(b *testing.B) {
 	to, _ := NewTorus3D(4, 4, 4)
 	flows := Shift(64, 1, 64*1024)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		n := MustNewNetwork(to, testNetConfig())
+		n.Batch(0, flows, DataOnly)
+	}
+}
+
+// BenchmarkBatchAllToAll is the congested engine path the collective
+// planner falls back to: the 64-node complete exchange, 4032 flows of
+// 1 KiB contending for the torus links.
+func BenchmarkBatchAllToAll(b *testing.B) {
+	to, _ := NewTorus3D(4, 4, 4)
+	flows := AllToAll(64, 1024)
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		n := MustNewNetwork(to, testNetConfig())
 		n.Batch(0, flows, DataOnly)

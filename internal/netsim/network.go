@@ -138,15 +138,8 @@ func (n *Network) SendStream(at sim.Time, src, dst int, payload int64, mode Mode
 	chunkBytes := int64(n.cfg.ChunkBytes)
 	perByte := n.nsPerByteFor(src, dst)
 	chunks := (wire + chunkBytes - 1) / chunkBytes
-	durOf := func(bytes int64) sim.Time {
-		d := sim.Time(float64(bytes)*perByte + 0.5)
-		if d < 1 {
-			d = 1
-		}
-		return d
-	}
-	d := durOf(chunkBytes)
-	dl := durOf(wire - (chunks-1)*chunkBytes)
+	d := chunkDur(chunkBytes, perByte)
+	dl := chunkDur(wire-(chunks-1)*chunkBytes, perByte)
 	d0 := d
 	if chunks == 1 {
 		d0 = dl
@@ -192,22 +185,11 @@ func (n *Network) Batch(at sim.Time, flows []Flow, mode Mode) (done []sim.Time, 
 	done = make([]sim.Time, len(flows))
 	makespan = at
 
-	type flowState struct {
-		path      []*sim.Resource
-		chunks    int64   // total chunks
-		lastBytes int64   // size of the final chunk
-		launched  int64   // chunks that entered hop 0
-		perByte   float64 // ns per wire byte on the flow's hierarchy tier
-	}
-	// chunk in flight: identified by flow index, chunk index, hop index.
-	type arrival struct {
-		flow, hop int
-		chunk     int64
-		t         sim.Time
-		seq       uint64
-	}
-
-	states := make([]*flowState, len(flows))
+	// Resources serve arrivals in (time, push order) order, which the
+	// agenda guarantees by construction: the loop always takes the
+	// earliest pending arrival and claims its resource then.
+	var agenda sim.Agenda[arrival]
+	states := make([]flowState, len(flows))
 	chunkBytes := int64(n.cfg.ChunkBytes)
 	for i, f := range flows {
 		wire := n.cfg.WireBytes(mode, f.Bytes)
@@ -216,51 +198,34 @@ func (n *Network) Batch(at sim.Time, flows []Flow, mode Mode) (done []sim.Time, 
 			continue
 		}
 		chunks := (wire + chunkBytes - 1) / chunkBytes
-		last := wire - (chunks-1)*chunkBytes
-		states[i] = &flowState{
+		states[i] = flowState{
 			path:      n.path(f.Src, f.Dst),
 			chunks:    chunks,
-			lastBytes: last,
+			lastBytes: wire - (chunks-1)*chunkBytes,
 			perByte:   n.nsPerByteFor(f.Src, f.Dst),
 		}
+		agenda.Push(at, arrival{flow: int32(i)})
 	}
 
-	durOf := func(st *flowState, chunk int64) sim.Time {
+	for {
+		a, ok := agenda.Pop()
+		if !ok {
+			break
+		}
+		st := &states[a.flow]
 		bytes := chunkBytes
-		if chunk == st.chunks-1 {
+		if a.chunk == st.chunks-1 {
 			bytes = st.lastBytes
 		}
-		d := sim.Time(float64(bytes)*st.perByte + 0.5)
-		if d < 1 {
-			d = 1
-		}
-		return d
-	}
-
-	// Per-resource FIFO queues plus a global time-ordered agenda of
-	// arrivals. Resources serve arrivals in (time, seq) order, which the
-	// heap guarantees by construction: we always process the earliest
-	// pending arrival and claim its resource then.
-	eng := sim.NewEngine()
-	var seq uint64
-	var deliver func(a arrival)
-	deliver = func(a arrival) {
-		st := states[a.flow]
-		res := st.path[a.hop]
-		_, end := res.Claim(a.t, durOf(st, a.chunk))
+		_, end := st.path[a.hop].Claim(agenda.Now(), chunkDur(bytes, st.perByte))
 		if a.hop == 0 && a.chunk+1 < st.chunks {
 			// The next chunk may enter the injection port once this one
 			// left it.
-			next := arrival{flow: a.flow, hop: 0, chunk: a.chunk + 1, t: end, seq: seq}
-			seq++
-			st.launched++
-			eng.Schedule(end, func() { deliver(next) })
+			agenda.Push(end, arrival{flow: a.flow, chunk: a.chunk + 1})
 		}
-		if a.hop+1 < len(st.path) {
-			nxt := arrival{flow: a.flow, hop: a.hop + 1, chunk: a.chunk, t: end, seq: seq}
-			seq++
-			eng.Schedule(end, func() { deliver(nxt) })
-			return
+		if int(a.hop)+1 < len(st.path) {
+			agenda.Push(end, arrival{flow: a.flow, hop: a.hop + 1, chunk: a.chunk})
+			continue
 		}
 		// Final hop: delivery.
 		if end > done[a.flow] {
@@ -270,16 +235,32 @@ func (n *Network) Batch(at sim.Time, flows []Flow, mode Mode) (done []sim.Time, 
 			makespan = end
 		}
 	}
-	for i, st := range states {
-		if st == nil {
-			continue
-		}
-		first := arrival{flow: i, hop: 0, chunk: 0, t: at, seq: seq}
-		seq++
-		st.launched = 1
-		eng.Schedule(at, func() { deliver(first) })
-	}
-	eng.Run()
-	n.cfg.Stats.RecordEvents(eng.Dispatched(), makespan-at)
+	n.cfg.Stats.RecordEvents(agenda.Dispatched(), makespan-at)
 	return done, makespan
+}
+
+// flowState is one non-trivial flow of a Batch.
+type flowState struct {
+	path      []*sim.Resource
+	chunks    int64   // total chunks
+	lastBytes int64   // size of the final chunk
+	perByte   float64 // ns per wire byte on the flow's hierarchy tier
+}
+
+// arrival is one chunk of a Batch flow reaching one hop of its path;
+// the agenda holds its time.
+type arrival struct {
+	flow, hop int32
+	chunk     int64
+}
+
+// chunkDur is the service time of a chunk of the given wire size on
+// one resource, rounded to the nearest nanosecond and at least 1 so a
+// claim always ends strictly after it starts.
+func chunkDur(bytes int64, perByte float64) sim.Time {
+	d := sim.Time(float64(bytes)*perByte + 0.5)
+	if d < 1 {
+		d = 1
+	}
+	return d
 }

@@ -1,11 +1,13 @@
 package router
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -193,6 +195,72 @@ func TestRouterSweepGolden(t *testing.T) {
 	}
 	if st := rt.Snapshot(); st.Sweeps != 1 || st.Cells != 96 {
 		t.Errorf("router stats = %+v, want 1 sweep / 96 cells", st)
+	}
+}
+
+// TestRouterSweepCutMidRow: a replica whose /v1/cells stream breaks
+// inside a row — cut short, or garbled — must not leak a partial row
+// into the merge. The router fails the shard over to the ring
+// successor, which re-streams past the rows already merged, and the
+// merged stream stays byte-identical to a single ctserved's.
+func TestRouterSweepCutMidRow(t *testing.T) {
+	spec := `{"kind":"price","machines":["t3d","paragon"],"styles":["chained","direct"],
+		"ops":["1Q64"],"words":[8,16,24,32,40,48,56,64]}`
+	single := serve.New(serve.Config{Workers: 2})
+	defer single.Close()
+	want := post(single.Handler(), "/v1/sweep", spec).Body.String()
+
+	for _, tc := range []struct {
+		name string
+		// breakRow rewrites a shard stream whose first row ends at nl.
+		breakRow func(body []byte, nl int) []byte
+	}{
+		{"truncated", func(body []byte, nl int) []byte {
+			next := bytes.IndexByte(body[nl+1:], '\n')
+			return body[:nl+1+next/2]
+		}},
+		{"garbled", func(body []byte, nl int) []byte {
+			bad := append([]byte(nil), body...)
+			bad[nl+1+8] = '}'
+			return bad
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFleet(t, 2, serve.Config{Workers: 1})
+			var broken atomic.Int64
+			cut := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path != "/v1/cells" {
+					f.servers[0].Handler().ServeHTTP(w, r)
+					return
+				}
+				rec := httptest.NewRecorder()
+				f.servers[0].Handler().ServeHTTP(rec, r)
+				body := rec.Body.Bytes()
+				w.Header().Set("Content-Type", rec.Header().Get("Content-Type"))
+				w.WriteHeader(rec.Code)
+				if nl := bytes.IndexByte(body, '\n'); nl >= 0 && bytes.Count(body, []byte("\n")) > 2 {
+					body = tc.breakRow(body, nl)
+					broken.Add(1)
+				}
+				w.Write(body)
+			}))
+			defer cut.Close()
+			rt := newRouter(t, Config{
+				Replicas:      []string{"r0=" + cut.URL, "r1=" + f.urls[1]},
+				ProbeInterval: -1,
+			})
+
+			got := post(rt.Handler(), "/v1/sweep", spec).Body.String()
+			if broken.Load() == 0 {
+				t.Fatal("no shard stream was broken; the test exercised nothing")
+			}
+			if got != want {
+				t.Fatalf("merged stream differs from a single ctserved's:\n--- router\n%s\n--- single\n%s", got, want)
+			}
+			if hops := rt.Snapshot().ShardHops; hops == 0 {
+				t.Errorf("shard hops = 0, want a failover to the ring successor")
+			}
+		})
 	}
 }
 

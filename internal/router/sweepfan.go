@@ -1,6 +1,8 @@
 package router
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -144,7 +146,7 @@ type shardReader struct {
 
 	cand     int // next candidate to try
 	body     io.ReadCloser
-	dec      *json.Decoder
+	br       *bufio.Reader
 	consumed int     // rows already handed to the merge
 	sum      summary // terminal line, once seen
 	sawSum   bool
@@ -181,7 +183,7 @@ func (sr *shardReader) open(ctx context.Context) error {
 			continue
 		}
 		sr.body = resp.Body
-		sr.dec = json.NewDecoder(resp.Body)
+		sr.br = bufio.NewReader(resp.Body)
 		sr.sawSum = false // a fresh stream carries its own summary
 		// Skip the already-consumed prefix.
 		ok := true
@@ -200,28 +202,32 @@ func (sr *shardReader) open(ctx context.Context) error {
 	return fmt.Errorf("no replicas left for shard (%d tried)", len(sr.cands))
 }
 
-// rawLine decodes the next NDJSON value, distinguishing a row from the
-// terminal summary. It returns nil when the line was the summary.
+// summaryPrefix opens the terminal summary line and no row: the
+// summary's first field is done, a row's is index.
+var summaryPrefix = []byte(`{"done":`)
+
+// rawLine reads and decodes the next NDJSON line, distinguishing a row
+// from the terminal summary. It returns nil when the line was the
+// summary. Every line the encoder writes ends in a newline, so a line
+// cut short by a dying stream is an error, as is one that fails to
+// decode.
 func (sr *shardReader) rawLine() (*sweep.Row, error) {
-	var raw json.RawMessage
-	if err := sr.dec.Decode(&raw); err != nil {
+	line, err := sr.br.ReadBytes('\n')
+	if err != nil {
+		if err == io.EOF && len(line) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, err
 	}
-	var probe struct {
-		Done bool `json:"done"`
-	}
-	if err := json.Unmarshal(raw, &probe); err != nil {
-		return nil, err
-	}
-	if probe.Done {
-		if err := json.Unmarshal(raw, &sr.sum); err != nil {
+	if bytes.HasPrefix(line, summaryPrefix) {
+		if err := json.Unmarshal(line, &sr.sum); err != nil {
 			return nil, err
 		}
 		sr.sawSum = true
 		return nil, nil
 	}
 	var row sweep.Row
-	if err := json.Unmarshal(raw, &row); err != nil {
+	if err := json.Unmarshal(line, &row); err != nil {
 		return nil, err
 	}
 	return &row, nil
@@ -233,7 +239,7 @@ func (sr *shardReader) next(ctx context.Context) (sweep.Row, error) {
 		if sr.dead {
 			return sweep.Row{}, fmt.Errorf("shard stream dead")
 		}
-		if sr.dec == nil {
+		if sr.br == nil {
 			if err := sr.open(ctx); err != nil {
 				return sweep.Row{}, err
 			}
@@ -266,7 +272,7 @@ func (sr *shardReader) finish(ctx context.Context) string {
 	if sr.dead {
 		return "one or more shards unreachable"
 	}
-	for !sr.sawSum && sr.dec != nil {
+	for !sr.sawSum && sr.br != nil {
 		row, err := sr.rawLine()
 		if err != nil {
 			return fmt.Sprintf("shard summary lost: %v", err)
@@ -283,6 +289,6 @@ func (sr *shardReader) close() {
 	if sr.body != nil {
 		sr.body.Close()
 		sr.body = nil
-		sr.dec = nil
+		sr.br = nil
 	}
 }

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -29,91 +31,175 @@ func TestTimeSeconds(t *testing.T) {
 	}
 }
 
-func TestEngineRunsInTimestampOrder(t *testing.T) {
-	e := NewEngine()
-	var got []Time
-	for _, at := range []Time{30, 10, 20, 10, 5} {
-		at := at
-		e.Schedule(at, func() { got = append(got, at) })
+// The TestEngine* tests pin the event-engine contract, which Agenda
+// carries: (time, push order) dispatch, pushes during a drain, the
+// causality panic and deadline-bounded dispatch.
+
+// drain pops every pending payload and returns them in dispatch order.
+func drain[T any](a *Agenda[T]) []T {
+	var got []T
+	for {
+		v, ok := a.Pop()
+		if !ok {
+			return got
+		}
+		got = append(got, v)
 	}
-	e.Run()
+}
+
+func TestEngineRunsInTimestampOrder(t *testing.T) {
+	var a Agenda[Time]
+	for _, at := range []Time{30, 10, 20, 10, 5} {
+		a.Push(at, at)
+	}
+	got := drain(&a)
 	if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
 		t.Errorf("events out of order: %v", got)
 	}
 	if len(got) != 5 {
 		t.Errorf("ran %d events, want 5", len(got))
 	}
+	if a.Now() != 30 {
+		t.Errorf("Now = %v, want 30", a.Now())
+	}
 }
 
 func TestEngineTiesAreFIFO(t *testing.T) {
-	e := NewEngine()
-	var got []int
+	var a Agenda[int]
 	for i := 0; i < 10; i++ {
-		i := i
-		e.Schedule(100, func() { got = append(got, i) })
+		a.Push(100, i)
 	}
-	e.Run()
-	for i, v := range got {
+	for i, v := range drain(&a) {
 		if v != i {
-			t.Fatalf("tie order broken: %v", got)
+			t.Fatalf("tie order broken at %d: got %d", i, v)
 		}
 	}
 }
 
+// Payloads pushed at the time being drained run after the ones already
+// pending there; later pushes run at their own time.
 func TestEngineNestedScheduling(t *testing.T) {
-	e := NewEngine()
-	var fired []Time
-	e.Schedule(10, func() {
-		fired = append(fired, e.Now())
-		e.After(5, func() { fired = append(fired, e.Now()) })
-	})
-	end := e.Run()
-	if end != 15 {
-		t.Errorf("end = %v, want 15", end)
+	var a Agenda[string]
+	a.Push(10, "a")
+	a.Push(10, "b")
+	var fired []string
+	var at []Time
+	for {
+		v, ok := a.Pop()
+		if !ok {
+			break
+		}
+		fired = append(fired, v)
+		at = append(at, a.Now())
+		switch v {
+		case "a":
+			a.Push(a.Now(), "a-now")
+			a.Push(a.Now()+5, "a-later")
+		case "b":
+			a.Push(a.Now(), "b-now")
+		}
 	}
-	if len(fired) != 2 || fired[0] != 10 || fired[1] != 15 {
-		t.Errorf("fired = %v", fired)
+	want := []string{"a", "b", "a-now", "b-now", "a-later"}
+	wantAt := []Time{10, 10, 10, 10, 15}
+	if !reflect.DeepEqual(fired, want) || !reflect.DeepEqual(at, wantAt) {
+		t.Errorf("fired %v at %v, want %v at %v", fired, at, want, wantAt)
 	}
 }
 
 func TestEnginePastSchedulingPanics(t *testing.T) {
-	e := NewEngine()
-	e.Schedule(10, func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("scheduling in the past should panic")
-			}
-		}()
-		e.Schedule(5, func() {})
-	})
-	e.Run()
+	var a Agenda[int]
+	a.Push(10, 0)
+	a.Pop()
+	defer func() {
+		if recover() == nil {
+			t.Error("scheduling in the past should panic")
+		}
+	}()
+	a.Push(5, 1)
 }
 
+// A fresh agenda's clock is at zero, so a negative time is in the past.
 func TestEngineNegativeDelayPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("After with negative delay should panic")
+			t.Error("pushing before time zero should panic")
 		}
 	}()
-	NewEngine().After(-1, func() {})
+	var a Agenda[int]
+	a.Push(-1, 0)
 }
 
 func TestRunUntil(t *testing.T) {
-	e := NewEngine()
-	var count int
+	var a Agenda[int]
 	for _, at := range []Time{10, 20, 30, 40} {
-		e.Schedule(at, func() { count++ })
+		a.Push(at, int(at))
 	}
-	e.RunUntil(25)
+	var count int
+	for {
+		if _, ok := a.PopUntil(25); !ok {
+			break
+		}
+		count++
+	}
 	if count != 2 {
 		t.Errorf("count = %d, want 2", count)
 	}
-	if e.Pending() != 2 {
-		t.Errorf("pending = %d, want 2", e.Pending())
+	if a.Pending() != 2 || a.Now() != 20 {
+		t.Errorf("pending = %d, now = %v; want 2, 20", a.Pending(), a.Now())
 	}
-	e.Run()
+	count += len(drain(&a))
 	if count != 4 {
-		t.Errorf("count after Run = %d, want 4", count)
+		t.Errorf("count after Pop = %d, want 4", count)
+	}
+}
+
+// Property: random pushes, including pushes at the current time while
+// it drains, pop in sorted (time, push sequence) order.
+func TestAgendaOrderProperty(t *testing.T) {
+	type ev struct {
+		at  Time
+		seq int
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		var a Agenda[ev]
+		seq := 0
+		push := func(at Time) {
+			a.Push(at, ev{at: at, seq: seq})
+			seq++
+		}
+		for i := rng.Intn(20); i > 0; i-- {
+			push(Time(rng.Intn(8)))
+		}
+		var got []ev
+		for {
+			v, ok := a.Pop()
+			if !ok {
+				break
+			}
+			if v.at != a.Now() {
+				return false
+			}
+			got = append(got, v)
+			if len(got) > 500 {
+				continue // stop growing; drain what is pending
+			}
+			for k := rng.Intn(3); k > 0; k-- {
+				push(a.Now() + Time(rng.Intn(3))) // 0: the time being drained
+			}
+		}
+		if len(got) != seq || a.Pending() != 0 {
+			return false
+		}
+		return sort.SliceIsSorted(got, func(i, j int) bool {
+			if got[i].at != got[j].at {
+				return got[i].at < got[j].at
+			}
+			return got[i].seq < got[j].seq
+		})
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -6,20 +6,24 @@ import (
 )
 
 func TestEngineDispatchedCounts(t *testing.T) {
-	e := NewEngine()
+	var a Agenda[int]
 	for i := Time(1); i <= 5; i++ {
-		e.Schedule(i, func() {})
+		a.Push(i, 0)
 	}
-	if e.Dispatched() != 0 {
-		t.Fatalf("Dispatched before Run = %d", e.Dispatched())
+	if a.Dispatched() != 0 {
+		t.Fatalf("Dispatched before Pop = %d", a.Dispatched())
 	}
-	e.RunUntil(3)
-	if e.Dispatched() != 3 {
-		t.Fatalf("Dispatched after RunUntil(3) = %d, want 3", e.Dispatched())
+	for {
+		if _, ok := a.PopUntil(3); !ok {
+			break
+		}
 	}
-	e.Run()
-	if e.Dispatched() != 5 {
-		t.Fatalf("Dispatched after Run = %d, want 5", e.Dispatched())
+	if a.Dispatched() != 3 {
+		t.Fatalf("Dispatched after PopUntil(3) = %d, want 3", a.Dispatched())
+	}
+	drain(&a)
+	if a.Dispatched() != 5 {
+		t.Fatalf("Dispatched after draining = %d, want 5", a.Dispatched())
 	}
 }
 

@@ -1,13 +1,15 @@
 #!/bin/sh
 # bench_record.sh — record the benchmark trajectory.
 #
-# Runs the sweep, memsim hot-path, serve-stack, calibration-fit, and
-# collective-planner benchmarks and normalizes the `go test -bench`
-# output into BENCH_sweep.json, BENCH_hotpath.json, BENCH_serve.json,
-# BENCH_fit.json and BENCH_collective.json:
+# Runs the sweep, memsim hot-path, serve-stack, calibration-fit,
+# collective-planner and event-engine benchmarks and normalizes the
+# `go test -bench` output into BENCH_sweep.json, BENCH_hotpath.json,
+# BENCH_serve.json, BENCH_fit.json, BENCH_collective.json and
+# BENCH_netsim.json:
 # one JSON object per benchmark per recording, carrying name, ns/op,
 # rows/sec (where the benchmark reports it), B/op, allocs/op, the
-# current commit and the UTC date. Entries APPEND — the files are the
+# current commit (suffixed -dirty when the tree has uncommitted
+# changes) and the UTC date. Entries APPEND — the files are the
 # repo's checked-in performance trajectory, one entry per recorded
 # commit, and CI's bench-gate compares fresh runs against the latest
 # BenchmarkSweep entry (scripts/bench_gate.sh).
@@ -26,6 +28,9 @@ GO="${GO:-go}"
 BENCH_DIR="${BENCH_DIR:-.}"
 BENCHTIME="${BENCHTIME:-1s}"
 COMMIT="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
+if [ "$COMMIT" != unknown ] && ! git diff --quiet HEAD -- 2>/dev/null; then
+	COMMIT="$COMMIT-dirty"
+fi
 DATE="$(date -u +%Y-%m-%d)"
 mkdir -p "$BENCH_DIR"
 
@@ -54,7 +59,8 @@ normalize() {
 
 # record <out.json> — append the normalized entries on stdin to the
 # JSON array in out.json, keeping one object per line so the gate can
-# read the file with grep.
+# read the file with grep. Old entries lose their separating commas
+# before the array is re-joined, so each line ends in at most one.
 record() {
 	out="$1"
 	new="$(normalize)"
@@ -64,7 +70,7 @@ record() {
 	fi
 	old=""
 	if [ -f "$out" ]; then
-		old="$(grep '^{' "$out" || true)"
+		old="$(grep '^{' "$out" | sed 's/,*$//')"
 	fi
 	{
 		printf '[\n'
@@ -99,3 +105,9 @@ echo "== collective benchmarks (planner + words-law sweep vs engine-per-cell) ==
 	"$GO" test -bench 'BenchmarkCollectivePlan$' -benchtime "$BENCHTIME" -benchmem -run '^$' ./internal/collective/
 	"$GO" test -bench 'BenchmarkCollectiveSweep$|BenchmarkCollectiveSweepEngine$' -benchtime "$BENCHTIME" -benchmem -run '^$' ./internal/sweep/
 } | tee /dev/stderr | record "$BENCH_DIR/BENCH_collective.json"
+
+echo "== event-engine benchmarks (sim agenda, netsim batch; recorded, not gated) =="
+{
+	"$GO" test -bench 'BenchmarkAgenda$' -benchtime "$BENCHTIME" -benchmem -run '^$' ./internal/sim/
+	"$GO" test -bench 'BenchmarkBatchShift$|BenchmarkBatchAllToAll$' -benchtime "$BENCHTIME" -benchmem -run '^$' ./internal/netsim/
+} | tee /dev/stderr | record "$BENCH_DIR/BENCH_netsim.json"
