@@ -4,7 +4,7 @@ GO ?= go
 J ?= 4
 CIOUT ?= ci-out
 
-.PHONY: all build test test-short bench bench-hotpath bench-serve sweep-bench bench-record bench-gate experiments fuzz fuzz-smoke gofmt-check race serve-smoke router-smoke load-test ci clean
+.PHONY: all build test test-short bench bench-hotpath bench-serve sweep-bench bench-record bench-gate fleetbench experiments fuzz fuzz-smoke gofmt-check race serve-smoke router-smoke load-test ci clean
 
 all: build test
 
@@ -48,11 +48,19 @@ sweep-bench:
 bench-record:
 	sh scripts/bench_record.sh
 
-# Fail if BenchmarkSweep rows/sec regressed >25% vs the checked-in
-# baseline (override: ALLOW_BENCH_REGRESSION=1, mirroring the CI
+# Fail if any gated benchmark (the table in scripts/bench_gate.sh)
+# regressed past its threshold vs the checked-in BENCH_*.json baseline
+# (override: ALLOW_BENCH_REGRESSION=1, mirroring the CI
 # bench-regression-ok PR label).
 bench-gate:
 	sh scripts/bench_gate.sh
+
+# The fleet benchmark is a separate module (fleetbench/go.mod) that
+# `go test ./...` never compiles, yet it calls the xfer, comm,
+# collective and calibrate APIs directly: build, vet and test it so an
+# API change cannot break it silently.
+fleetbench:
+	cd fleetbench && $(GO) build -o /dev/null ./... && $(GO) vet ./... && $(GO) test ./...
 
 experiments:
 	$(GO) run ./cmd/experiments -check -j $(J)
@@ -106,13 +114,13 @@ gofmt-check:
 race:
 	$(GO) test -race ./...
 
-# ci mirrors .github/workflows/ci.yml locally: build/vet/test, gofmt,
-# race, the parallel experiment shape gate (metrics archived under
+# ci mirrors .github/workflows/ci.yml locally: build/vet/test (the
+# fleetbench module too), gofmt, race, the parallel experiment shape gate (metrics archived under
 # $(CIOUT)/), the fast-forward differential gate (stdout must be
 # byte-identical with and without -no-fast-forward), the fuzz smoke
-# pass, the one-iteration bench sweep, and the sweep-throughput
-# regression gate against the checked-in BENCH_sweep.json baseline.
-ci: build gofmt-check test race serve-smoke router-smoke
+# pass, the one-iteration bench sweep, and the benchmark regression
+# gates against the checked-in BENCH_*.json baselines.
+ci: build gofmt-check test fleetbench race serve-smoke router-smoke
 	mkdir -p $(CIOUT)
 	$(GO) run ./cmd/experiments -quick -check -j $(J) -stats $(CIOUT)/experiments-stats.json
 	$(GO) run ./cmd/experiments -quick -check -only tab1,tab2,tab3,fig4 -j $(J) > $(CIOUT)/ff-on.txt 2>/dev/null

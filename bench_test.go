@@ -343,11 +343,11 @@ func BenchmarkAblationRDAL(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			cfg := machine.T3D().Mem
 			cfg.ReadAhead = on
-			acc := pattern.NewStream(pattern.Contig(), 0, benchWords).Accesses(false)
+			loads := pattern.NewStream(pattern.Contig(), 0, benchWords)
 			var last float64
 			for i := 0; i < b.N; i++ {
 				mem := memsim.MustNew(cfg)
-				last = mem.Run(acc).MBps()
+				last = mem.RunStream(loads, nil, memsim.InterleaveWordwise).MBps()
 			}
 			b.SetBytes(benchWords * 8)
 			reportRate(b, last)
@@ -362,11 +362,11 @@ func BenchmarkAblationWBQ(b *testing.B) {
 		b.Run(wbqName(entries), func(b *testing.B) {
 			cfg := machine.T3D().Mem
 			cfg.WBQEntries = entries
-			acc := pattern.NewStream(pattern.Strided(64), 0, benchWords).Accesses(true)
+			stores := pattern.NewStream(pattern.Strided(64), 0, benchWords).ForWrites()
 			var last float64
 			for i := 0; i < b.N; i++ {
 				mem := memsim.MustNew(cfg)
-				last = mem.Run(acc).MBps()
+				last = mem.RunStream(nil, stores, memsim.InterleaveWordwise).MBps()
 			}
 			b.SetBytes(benchWords * 8)
 			reportRate(b, last)
@@ -385,11 +385,11 @@ func BenchmarkAblationPFQ(b *testing.B) {
 		b.Run("depth"+string(rune('0'+depth)), func(b *testing.B) {
 			cfg := machine.Paragon().Mem
 			cfg.PFQDepth = depth
-			acc := pattern.NewStream(pattern.Strided(64), 0, benchWords).Accesses(false)
+			loads := pattern.NewStream(pattern.Strided(64), 0, benchWords)
 			var last float64
 			for i := 0; i < b.N; i++ {
 				mem := memsim.MustNew(cfg)
-				last = mem.Run(acc).MBps()
+				last = mem.RunStream(loads, nil, memsim.InterleaveWordwise).MBps()
 			}
 			b.SetBytes(benchWords * 8)
 			reportRate(b, last)
@@ -574,11 +574,11 @@ func BenchmarkAblationWritePolicy(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			cfg := machine.T3D().Mem
 			cfg.Policy = tc.policy
-			acc := pattern.NewStream(pattern.Strided(64), 0, benchWords).Accesses(true)
+			stores := pattern.NewStream(pattern.Strided(64), 0, benchWords).ForWrites()
 			var last float64
 			for i := 0; i < b.N; i++ {
 				mem := memsim.MustNew(cfg)
-				last = mem.Run(acc).MBps()
+				last = mem.RunStream(nil, stores, memsim.InterleaveWordwise).MBps()
 			}
 			b.SetBytes(benchWords * 8)
 			reportRate(b, last)
@@ -596,21 +596,21 @@ func BenchmarkAblationWritePolicy(b *testing.B) {
 func BenchmarkAblationWarmCache(b *testing.B) {
 	cfg := machine.T3D().Mem
 	words := cfg.CacheBytes / 16 // footprint fits the cache
-	acc := pattern.NewStream(pattern.Contig(), 0, words).Accesses(false)
+	loads := pattern.NewStream(pattern.Contig(), 0, words)
 	b.Run("cold", func(b *testing.B) {
 		var last float64
 		for i := 0; i < b.N; i++ {
 			mem := memsim.MustNew(cfg)
-			last = mem.Run(acc).MBps()
+			last = mem.RunStream(loads, nil, memsim.InterleaveWordwise).MBps()
 		}
 		reportRate(b, last)
 	})
 	b.Run("warm", func(b *testing.B) {
 		mem := memsim.MustNew(cfg)
-		mem.Run(acc) // prime
+		mem.RunStream(loads, nil, memsim.InterleaveWordwise) // prime
 		var last float64
 		for i := 0; i < b.N; i++ {
-			last = mem.Run(acc).MBps()
+			last = mem.RunStream(loads, nil, memsim.InterleaveWordwise).MBps()
 		}
 		reportRate(b, last)
 	})

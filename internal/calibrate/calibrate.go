@@ -9,9 +9,9 @@ package calibrate
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 
+	"ctcomm/internal/law"
 	"ctcomm/internal/machine"
 	"ctcomm/internal/pattern"
 	"ctcomm/internal/sim"
@@ -74,16 +74,14 @@ var memPatterns = []pattern.Spec{
 // Stats. Per-experiment attribution is therefore identical regardless of
 // which experiment happens to measure first, which keeps serial and
 // parallel runs byte-identical.
-type cacheEntry struct {
-	once     sync.Once
+type measurement struct {
 	table    *Table
 	accesses int64
 	simNs    int64
 }
 
 var (
-	cacheMu     sync.Mutex
-	cache       = map[string]*cacheEntry{}
+	cache       law.Memo[string, measurement]
 	cacheHits   atomic.Int64
 	cacheMisses atomic.Int64
 )
@@ -110,27 +108,15 @@ func Measure(m *machine.Machine, words int) *Table {
 	if words <= 0 {
 		words = DefaultWords
 	}
-	key := fingerprint(m, words)
-	cacheMu.Lock()
-	e, ok := cache[key]
-	if !ok {
-		e = &cacheEntry{}
-		cache[key] = e
-	}
-	cacheMu.Unlock()
-
-	hit := true
-	e.once.Do(func() {
-		hit = false
-		cacheMisses.Add(1)
+	e, computed := cache.Get(fingerprint(m, words), func() measurement {
 		var st sim.Stats
 		clone := *m
 		clone.Observe(&st)
-		e.table = measureUncached(&clone, words)
-		e.accesses = st.Accesses()
-		e.simNs = int64(st.SimTime())
+		return measurement{measureUncached(&clone, words), st.Accesses(), int64(st.SimTime())}
 	})
-	if hit {
+	if computed {
+		cacheMisses.Add(1)
+	} else {
 		cacheHits.Add(1)
 	}
 	// Replay the measurement's simulator work into the caller's stats.

@@ -28,9 +28,9 @@ package collective
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"ctcomm/internal/aapc"
+	"ctcomm/internal/law"
 	"ctcomm/internal/machine"
 )
 
@@ -128,12 +128,10 @@ type Plan struct {
 	// side of the hyper-systolic storage/communication trade-off.
 	ReplicaBlocks int64
 
-	// congMu guards cong, the per-machine phase-congestion cache
-	// (phaseCongestion): congestion is words-invariant, so one
-	// computation per (plan, machine) serves every block size the
-	// plan is evaluated at.
-	congMu sync.Mutex
-	cong   map[*machine.Machine][]float64
+	// cong is the per-machine phase-congestion cache (phaseCongestion):
+	// congestion is words-invariant, so one computation per (plan,
+	// machine) serves every block size the plan is evaluated at.
+	cong law.Memo[*machine.Machine, []float64]
 }
 
 // New plans op with strategy st over nodes participants. offset is

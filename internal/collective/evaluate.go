@@ -120,19 +120,13 @@ func (p *Plan) Evaluate(m *machine.Machine, words int, engine bool) (Eval, error
 // words-invariant — the words-law probes and every word count of a
 // sweep share one computation. Safe for concurrent evaluators.
 func (p *Plan) phaseCongestion(m *machine.Machine) []float64 {
-	p.congMu.Lock()
-	defer p.congMu.Unlock()
-	if c, ok := p.cong[m]; ok {
+	c, _ := p.cong.Get(m, func() []float64 {
+		c := make([]float64, len(p.Schedule.Phases))
+		for pi := range p.Schedule.Phases {
+			// Probe flows at one byte per block: congestion is size-blind.
+			c[pi] = netsim.CongestionOf(m.Topo, p.Schedule.PhaseFlows(pi, 1), m.Net.NodesPerPort)
+		}
 		return c
-	}
-	c := make([]float64, len(p.Schedule.Phases))
-	for pi := range p.Schedule.Phases {
-		// Probe flows at one byte per block: congestion is size-blind.
-		c[pi] = netsim.CongestionOf(m.Topo, p.Schedule.PhaseFlows(pi, 1), m.Net.NodesPerPort)
-	}
-	if p.cong == nil {
-		p.cong = map[*machine.Machine][]float64{}
-	}
-	p.cong[m] = c
+	})
 	return c
 }

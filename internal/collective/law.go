@@ -1,9 +1,8 @@
 package collective
 
 import (
-	"sync"
-
 	"ctcomm/internal/aapc"
+	"ctcomm/internal/law"
 	"ctcomm/internal/machine"
 	"ctcomm/internal/netsim"
 	"ctcomm/internal/pattern"
@@ -24,39 +23,30 @@ import (
 // last-chunk size stays constant, shifting SendStream's flow-shop end
 // time by an exact integer delta per period. Congested phases run the
 // event engine, whose per-period delta is not proven constant — so,
-// exactly like the PR 6 price laws, a law is only admitted after
-// bitwise verification: fit on two probes, verify on three more
-// (including one far beyond the fit region), and fall back to the
-// engine for any family that fails. The engine remains the authority
-// on every input; a law changes cost, never answers.
+// exactly like the xfer price laws, a law is only admitted after
+// bitwise verification by the shared kernel (internal/law): fit on two
+// probes, verify on three more (including one far beyond the fit
+// region), and fall back to the engine for any family that fails. The
+// engine remains the authority on every input; a law changes cost,
+// never answers.
 //
 // Makespans are integer sim.Time nanoseconds, so the fit is integer
-// arithmetic end to end: Makespan(c*P + r) = t1 + (c-lawWordsC1)*(t2-t1),
-// reproduced bit for bit (MakespanNs is float64(t) on both paths).
+// arithmetic end to end: Makespan(c*P + r) = t1 + (c-c1)*(t2-t1) for
+// fit probes at c1 and c1+1 periods, reproduced bit for bit
+// (MakespanNs is float64(t) on both paths).
 
-const (
-	// lawWordsC1 and lawWordsC2 are the period counts of the two fit
-	// probes. The network simulator has no warm-up (each phase starts
-	// with every resource idle), so the fit can start at one period.
-	lawWordsC1 = 1
-	lawWordsC2 = 2
-	// lawWordsC3 and lawWordsC4 are bitwise verification probes just
-	// past the fit region; lawWordsC5 is the far probe — four fit
-	// spans out, where an accidental two-point fit of a non-affine
-	// curve (e.g. mesh-contended engine phases) drifts and is
-	// rejected.
-	lawWordsC3 = 3
-	lawWordsC4 = 4
-	lawWordsC5 = 8
-	// lawWordsMaxPeriod caps the structural period a law will probe:
-	// the five probes cost 18 periods of evaluation, which must stay
-	// comparable to the big cells the law replaces.
-	lawWordsMaxPeriod = 4096
-	// lawWordsMaxWords bounds the word counts a law answers, keeping
-	// the integer extrapolation far from int64/float64 exactness
-	// limits. Sweeps ask for orders of magnitude less.
-	lawWordsMaxWords = 1 << 31
-)
+// wordsPlan probes, in period counts. The network simulator has no
+// warm-up (each phase starts with every resource idle), so the fit
+// pair starts at one period; 3 and 4 verify just past it, and the far
+// probe 8 — four fit spans out, always run — is where an accidental
+// two-point fit of a non-affine curve (e.g. mesh-contended engine
+// phases) drifts and is rejected.
+var wordsPlan = law.Plan{Fit: [2]int64{1, 2}, Near: []int64{3, 4}, Far: 8}
+
+// lawWordsMaxPeriod caps the structural period a law will probe: the
+// five probes cost 18 periods of evaluation, which must stay comparable
+// to the big cells the law replaces.
+const lawWordsMaxPeriod = 4096
 
 func gcd64(a, b int64) int64 {
 	for b != 0 {
@@ -104,17 +94,16 @@ func wordsPeriod(m *machine.Machine, s *aapc.Schedule) int64 {
 	return period
 }
 
-// wordsLaw is a fitted, bitwise-verified affine words law for one
-// (plan, machine, engine-flag) family and one residue class: for
-// words = c*period + residue with c >= lawWordsC1, the makespan is
-// t1 + (c-lawWordsC1)*(t2-t1) and every other Eval field is either
+// wordsProbe is one evaluation of a words-law family: the Eval and its
+// makespan as the integer nanoseconds the law extrapolates. A fitted
+// law.Fit[wordsProbe] covers one (plan, machine, engine-flag) family
+// and residue class: past the first fit probe the makespan is affine
+// in the period count and every other Eval field is either
 // words-invariant (copied from the verified probes) or exactly affine
 // (ReplicaBytes).
-type wordsLaw struct {
-	period  int64
-	residue int64
-	base    Eval     // words-invariant fields, identical across all probes
-	t1, t2  sim.Time // integer makespans at lawWordsC1 and lawWordsC2 periods
+type wordsProbe struct {
+	ev Eval
+	t  sim.Time
 }
 
 // sameShape reports whether two evals agree on every words-invariant
@@ -130,62 +119,39 @@ func sameShape(a, b Eval) bool {
 		a.EnginePhases == b.EnginePhases
 }
 
-// fitWordsLaw probes the plan at five word counts in the residue
-// class, fits the affine law on the first two and admits it only if
-// the remaining three — including the far probe — reproduce the
-// evaluator bit for bit. Any probe error, shape drift, or makespan
-// mismatch yields nil and the caller falls back to Plan.Evaluate.
-func fitWordsLaw(p *Plan, m *machine.Machine, engine bool, period, residue int64) *wordsLaw {
-	run := func(c int64) (Eval, sim.Time, bool) {
-		ev, err := p.Evaluate(m, int(c*period+residue), engine)
-		if err != nil {
-			return Eval{}, 0, false
-		}
-		// Makespans are integer nanoseconds reported as float64; the
-		// law extrapolates the integers, so they must round-trip.
-		t := sim.Time(ev.MakespanNs)
-		if float64(t) != ev.MakespanNs {
-			return Eval{}, 0, false
-		}
-		return ev, t, true
-	}
-	e1, t1, ok1 := run(lawWordsC1)
-	e2, t2, ok2 := run(lawWordsC2)
-	if !ok1 || !ok2 || !sameShape(e1, e2) {
-		return nil
-	}
-	l := &wordsLaw{period: period, residue: residue, base: e1, t1: t1, t2: t2}
-	for _, c := range []int64{lawWordsC3, lawWordsC4, lawWordsC5} {
-		ev, t, ok := run(c)
-		if !ok || !sameShape(e1, ev) || l.predict(c) != t {
-			return nil
-		}
-	}
-	return l
+// fitWordsLaw probes the plan along wordsPlan in the residue class,
+// fits the affine law on the first two probes if their shapes agree,
+// and admits it only if the remaining three — including the far probe
+// — reproduce the evaluator bit for bit. Any probe error, shape drift,
+// or makespan mismatch yields nil and the caller falls back to
+// Plan.Evaluate.
+func fitWordsLaw(p *Plan, m *machine.Machine, engine bool, period, residue int64) *law.Fit[wordsProbe] {
+	return law.New(wordsPlan, law.Family[wordsProbe]{
+		Period:  period,
+		Residue: residue,
+		Probe: func(words int64) (wordsProbe, bool) {
+			ev, err := p.Evaluate(m, int(words), engine)
+			// Makespans are integer nanoseconds reported as float64; the
+			// law extrapolates the integers, so they must round-trip.
+			t := sim.Time(ev.MakespanNs)
+			return wordsProbe{ev, t}, err == nil && float64(t) == ev.MakespanNs
+		},
+		Line: func(f1, f2 wordsProbe, n int64) wordsProbe {
+			return wordsProbe{f1.ev, f1.t + sim.Time(n)*(f2.t-f1.t)}
+		},
+		Equal: func(pred, got wordsProbe) bool { return sameShape(pred.ev, got.ev) && pred.t == got.t },
+		Check: func(f1, f2 wordsProbe) (bool, bool) { return sameShape(f1.ev, f2.ev), true },
+	})
 }
 
-// predict extrapolates the fitted integer makespan to c periods.
-func (l *wordsLaw) predict(c int64) sim.Time {
-	return l.t1 + sim.Time(c-lawWordsC1)*(l.t2-l.t1)
-}
-
-// covers reports whether the law may answer for words: same residue
-// class, at or past the first fit probe, and below the extrapolation
-// bound.
-func (l *wordsLaw) covers(words int64) bool {
-	return words >= lawWordsC1*l.period+l.residue &&
-		words <= lawWordsMaxWords &&
-		words%l.period == l.residue
-}
-
-// eval reconstructs the full Eval for words: invariant fields from the
-// verified probes, ReplicaBytes by its exact affine definition, and
-// the makespan by integer extrapolation. The caller must have checked
-// covers.
-func (l *wordsLaw) eval(words int64) Eval {
-	ev := l.base
+// lawEval reconstructs the full Eval for words from a covering law:
+// invariant fields from the verified probes, ReplicaBytes by its exact
+// affine definition, and the makespan by integer extrapolation.
+func lawEval(l *law.Fit[wordsProbe], words int64) Eval {
+	pr := l.At(words)
+	ev := pr.ev
 	ev.ReplicaBytes = ev.ReplicaBlocks * words * pattern.WordBytes
-	ev.MakespanNs = float64(l.predict(words / l.period))
+	ev.MakespanNs = float64(pr.t)
 	return ev
 }
 
@@ -204,20 +170,13 @@ func (l *wordsLaw) eval(words int64) Eval {
 // each machine once per batch (query.Batch does) and pass the same
 // pointer for every cell.
 type Session struct {
-	mu    sync.Mutex
-	plans map[planKey]*planEntry
-	laws  map[sessLawKey]*sessLawEntry
-	memo  map[sessMemoKey]*sessMemoEntry
+	plans law.Memo[planKey, planned]
+	laws  law.Memo[sessLawKey, *law.Fit[wordsProbe]] // nil: family not law-eligible, use the evaluator
+	memo  law.Memo[sessMemoKey, evaluated]
 }
 
 // NewSession returns an empty batch context.
-func NewSession() *Session {
-	return &Session{
-		plans: map[planKey]*planEntry{},
-		laws:  map[sessLawKey]*sessLawEntry{},
-		memo:  map[sessMemoKey]*sessMemoEntry{},
-	}
-}
+func NewSession() *Session { return &Session{} }
 
 type planKey struct {
 	op     Op
@@ -240,23 +199,12 @@ type sessMemoKey struct {
 	words  int
 }
 
-// planEntry, sessLawEntry and sessMemoEntry are once-guarded so
-// concurrent cells needing the same plan, fit or evaluation compute
-// it exactly once, without holding the session lock across a
-// simulation.
-type planEntry struct {
-	once sync.Once
+type planned struct {
 	plan *Plan
 	err  error
 }
 
-type sessLawEntry struct {
-	once sync.Once
-	law  *wordsLaw // nil: family not law-eligible, use the evaluator
-}
-
-type sessMemoEntry struct {
-	once     sync.Once
+type evaluated struct {
 	ev       Eval
 	analytic bool
 	err      error
@@ -266,72 +214,46 @@ type sessMemoEntry struct {
 // session) and times it on m with blocks of words 64-bit words — by a
 // fitted words law when one covers words, by Plan.Evaluate otherwise.
 // The bool reports the law path; provenance only: by the admission
-// contract the Eval is bit-identical either way.
+// contract the Eval is bit-identical either way. Concurrent cells
+// needing the same plan, fit or evaluation compute it exactly once.
 func (s *Session) Evaluate(m *machine.Machine, op Op, st Strategy, nodes, offset, words int, engine bool) (Eval, bool, error) {
 	pk := planKey{op: op, st: st, nodes: nodes, offset: offset}
-	k := sessMemoKey{pk: pk, m: m, engine: engine, words: words}
-	s.mu.Lock()
-	e, ok := s.memo[k]
-	if !ok {
-		e = &sessMemoEntry{}
-		s.memo[k] = e
-	}
-	s.mu.Unlock()
-	e.once.Do(func() { e.ev, e.analytic, e.err = s.compute(pk, m, engine, words) })
+	e, _ := s.memo.Get(sessMemoKey{pk: pk, m: m, engine: engine, words: words}, func() evaluated {
+		ev, analytic, err := s.compute(pk, m, engine, words)
+		return evaluated{ev, analytic, err}
+	})
 	return e.ev, e.analytic, e.err
 }
 
 // compute answers one evaluation: by law when the family admits one
-// that covers this word count, by the evaluator otherwise.
+// that covers this word count, by the evaluator otherwise. Planning
+// errors are memoized too: they keep the exact collective.New text
+// every frontend reports.
 func (s *Session) compute(pk planKey, m *machine.Machine, engine bool, words int) (Eval, bool, error) {
-	plan, err := s.plan(pk)
-	if err != nil {
-		return Eval{}, false, err
+	pl, _ := s.plans.Get(pk, func() planned {
+		plan, err := New(pk.op, pk.st, pk.nodes, pk.offset)
+		return planned{plan, err}
+	})
+	if pl.err != nil {
+		return Eval{}, false, pl.err
 	}
-	if words > 0 && int64(words) <= lawWordsMaxWords {
-		if period := wordsPeriod(m, plan.Schedule); period > 0 {
+	if words > 0 && words <= law.MaxWords {
+		if period := wordsPeriod(m, pl.plan.Schedule); period > 0 {
 			residue := int64(words) % period
-			if int64(words) >= lawWordsC1*period+residue {
+			if int64(words) >= wordsPlan.Fit[0]*period+residue {
 				// Only coverable word counts trigger a fit: small
 				// blocks below the first probe are cheaper to just
 				// evaluate. Coverage is a pure function of the cell,
 				// so the analytic provenance flag is deterministic.
-				if law := s.law(pk, plan, m, engine, period, residue); law != nil && law.covers(int64(words)) {
-					return law.eval(int64(words)), true, nil
+				l, _ := s.laws.Get(sessLawKey{pk: pk, m: m, engine: engine, residue: residue}, func() *law.Fit[wordsProbe] {
+					return fitWordsLaw(pl.plan, m, engine, period, residue)
+				})
+				if l != nil && l.Covers(int64(words)) {
+					return lawEval(l, int64(words)), true, nil
 				}
 			}
 		}
 	}
-	ev, err := plan.Evaluate(m, words, engine)
+	ev, err := pl.plan.Evaluate(m, words, engine)
 	return ev, false, err
-}
-
-// plan returns the memoized plan for the key, planning it on first
-// need. Planning errors are memoized too: they keep the exact
-// collective.New text every frontend reports.
-func (s *Session) plan(pk planKey) (*Plan, error) {
-	s.mu.Lock()
-	e, ok := s.plans[pk]
-	if !ok {
-		e = &planEntry{}
-		s.plans[pk] = e
-	}
-	s.mu.Unlock()
-	e.once.Do(func() { e.plan, e.err = New(pk.op, pk.st, pk.nodes, pk.offset) })
-	return e.plan, e.err
-}
-
-// law returns the fitted words law for the family and residue class,
-// fitting it on first need. nil means the family did not certify.
-func (s *Session) law(pk planKey, plan *Plan, m *machine.Machine, engine bool, period, residue int64) *wordsLaw {
-	k := sessLawKey{pk: pk, m: m, engine: engine, residue: residue}
-	s.mu.Lock()
-	e, ok := s.laws[k]
-	if !ok {
-		e = &sessLawEntry{}
-		s.laws[k] = e
-	}
-	s.mu.Unlock()
-	e.once.Do(func() { e.law = fitWordsLaw(plan, m, engine, period, residue) })
-	return e.law
 }

@@ -1,8 +1,6 @@
 package comm
 
 import (
-	"fmt"
-
 	"ctcomm/internal/machine"
 	"ctcomm/internal/pattern"
 	"ctcomm/internal/xfer"
@@ -32,19 +30,5 @@ func (e engineSource) Transfer(kind xfer.Kind, x, y pattern.Spec, words int) (xf
 // runEngine simulates one basic transfer on a fresh node — the
 // reference evaluation every other source must reproduce bit for bit.
 func runEngine(m *machine.Machine, kind xfer.Kind, x, y pattern.Spec, words int) (xfer.Result, error) {
-	n := m.NewNode(0)
-	switch kind {
-	case xfer.KindCopy:
-		return xfer.Copy(n, x, y, words)
-	case xfer.KindLoadSend:
-		return xfer.LoadSend(n, x, words)
-	case xfer.KindFetchSend:
-		return xfer.FetchSend(n, x, words)
-	case xfer.KindRecvStore:
-		return xfer.RecvStore(n, y, words)
-	case xfer.KindRecvDeposit:
-		return xfer.RecvDeposit(n, y, words)
-	default:
-		return xfer.Result{}, fmt.Errorf("comm: unknown transfer kind %v", kind)
-	}
+	return xfer.On(m, m.NewNode(0).Mem, kind, x, y, words)
 }

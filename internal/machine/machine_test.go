@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"ctcomm/internal/memsim"
 	"ctcomm/internal/pattern"
 )
 
@@ -85,7 +86,7 @@ func TestNewNodeIsCold(t *testing.T) {
 	if n.ID != 3 || n.Mem == nil {
 		t.Fatalf("bad node: %+v", n)
 	}
-	res := n.Mem.Run([]pattern.Access{{Addr: 0}})
+	res := n.Mem.RunStream(pattern.NewStream(pattern.Contig(), 0, 1), nil, memsim.InterleaveWordwise)
 	if res.CacheHits != 0 {
 		t.Error("fresh node should have a cold cache")
 	}

@@ -204,36 +204,13 @@ func (m *Memory) endRun(t int64, base runBase, res *Result) Result {
 	return *res
 }
 
-// Run executes a materialized access stream on the processor and returns
-// timing. Time starts at zero for each Run; DRAM page and cache state
-// carry over between runs so warm-up effects can be studied explicitly.
-// Run is the slice-based adapter over the same engine RunStream drives;
-// the streaming API is the hot path.
-func (m *Memory) Run(accesses []pattern.Access) Result {
-	base := m.beginRun()
-	var res Result
-	var t int64
-	for _, a := range accesses {
-		if a.Write {
-			t = m.store(t, a.Addr)
-			res.Stores++
-		} else {
-			t = m.load(t, a.Addr)
-			res.Loads++
-		}
-		if !a.Overhead {
-			res.PayloadBytes += pattern.WordBytes
-		}
-	}
-	return m.endRun(t, base, &res)
-}
-
 // RunStream executes a transfer by pulling addresses from the given
 // streams (either may be nil for a single-sided transfer) without
 // materializing them. The loads stream is issued as processor loads, the
 // stores stream as processor stores; overhead accesses of either stream
 // are always loads (index-array reads). The result is identical to
-// running the equivalent interleaved []pattern.Access slice through Run.
+// running the equivalent interleaved []pattern.Access slice through the
+// slice reference Run in this package's tests.
 //
 // For periodic patterns RunStream additionally detects steady-state
 // recurrence and fast-forwards whole periods analytically (see ff.go);

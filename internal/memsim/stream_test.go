@@ -173,6 +173,30 @@ func TestFastForwardEngages(t *testing.T) {
 
 // TestRunStreamMatchesRun proves the streaming API reproduces the
 // slice-based adapter bit for bit (same engine, same schedule).
+// Run executes a materialized access stream on the processor and returns
+// timing. Time starts at zero for each Run; DRAM page and cache state
+// carry over between runs so warm-up effects can be studied explicitly.
+// Run is the slice-based reference over the same engine RunStream
+// drives; it lives in test code because only tests compare against it.
+func (m *Memory) Run(accesses []pattern.Access) Result {
+	base := m.beginRun()
+	var res Result
+	var t int64
+	for _, a := range accesses {
+		if a.Write {
+			t = m.store(t, a.Addr)
+			res.Stores++
+		} else {
+			t = m.load(t, a.Addr)
+			res.Loads++
+		}
+		if !a.Overhead {
+			res.PayloadBytes += pattern.WordBytes
+		}
+	}
+	return m.endRun(t, base, &res)
+}
+
 func TestRunStreamMatchesRun(t *testing.T) {
 	for _, cfg := range ffVariants() {
 		for _, spec := range ffSpecs() {

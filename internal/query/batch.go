@@ -7,6 +7,7 @@ import (
 	"ctcomm/internal/calibrate"
 	"ctcomm/internal/collective"
 	"ctcomm/internal/comm"
+	"ctcomm/internal/law"
 	"ctcomm/internal/machine"
 	"ctcomm/internal/model"
 	"ctcomm/internal/netsim"
@@ -40,9 +41,14 @@ type Batch struct {
 	// dedupes spellings onto one *Machine per profile name.
 	byName    map[string]*machine.Machine
 	byProfile map[string]*machine.Machine
-	tables    map[tableKey]*model.RateTable
+	tables    law.Memo[tableKey, batchTable]
 	session   *comm.Session
 	coll      *collective.Session
+}
+
+type batchTable struct {
+	rt  *model.RateTable
+	err error
 }
 
 type tableKey struct {
@@ -56,7 +62,6 @@ func NewBatch() *Batch {
 	return &Batch{
 		byName:    map[string]*machine.Machine{},
 		byProfile: map[string]*machine.Machine{},
-		tables:    map[tableKey]*model.RateTable{},
 		session:   comm.NewSession(),
 		coll:      collective.NewSession(),
 	}
@@ -96,28 +101,17 @@ func (b *Batch) table(rates string, m *machine.Machine, level *netsim.Level) (*m
 	if level != nil {
 		k.level = level.String()
 	}
-	b.mu.Lock()
-	rt, ok := b.tables[k]
-	b.mu.Unlock()
-	if ok {
-		return rt, nil
-	}
-	var err error
-	switch {
-	case rates == "calibrated" && level != nil:
-		rt = calibrate.SharedRateTableAt(m, *level)
-	case rates == "calibrated":
-		rt = calibrate.SharedRateTable(m)
-	default:
-		rt, err = rateTable(rates, m, level)
-		if err != nil {
-			return nil, err
+	t, _ := b.tables.Get(k, func() batchTable {
+		switch {
+		case rates == "calibrated" && level != nil:
+			return batchTable{rt: calibrate.SharedRateTableAt(m, *level)}
+		case rates == "calibrated":
+			return batchTable{rt: calibrate.SharedRateTable(m)}
 		}
-	}
-	b.mu.Lock()
-	b.tables[k] = rt
-	b.mu.Unlock()
-	return rt, nil
+		rt, err := rateTable(rates, m, level)
+		return batchTable{rt, err}
+	})
+	return t.rt, t.err
 }
 
 // Eval answers r through the batch's shared machine and rate-table

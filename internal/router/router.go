@@ -357,7 +357,7 @@ func (rt *Router) markDown(rep *replica) {
 
 // --- Point-query proxying ----------------------------------------------
 
-// fingerprinter is the common shape of the three request types.
+// fingerprinter is the common shape of the five point request types.
 type fingerprinter interface{ Fingerprint() string }
 
 type errorBody struct {

@@ -115,14 +115,25 @@ func TestBadRequests(t *testing.T) {
 		{"/v1/eval", `not json`, http.StatusBadRequest},
 		{"/v1/plan", `{"n":-4,"p":8}`, http.StatusBadRequest},
 		{"/v1/price", `{"x":"1","y":"1","style":"mpi"}`, http.StatusBadRequest},
+		// Past law.MaxWords (2^31) words: no law answers and the engine
+		// would run for minutes, so the query is rejected up front.
+		{"/v1/price", `{"machine":"t3d","x":"1","y":"1","words":1099511627776}`, http.StatusBadRequest},
+		{"/v1/collective", `{"machine":"t3d","collective":"all-to-all","nodes":4,"words":1099511627776}`, http.StatusBadRequest},
+		{"/v1/fit", `{"bases":"t3d"}`, http.StatusBadRequest}, // unknown field
+		{"/v1/fit", `not json`, http.StatusBadRequest},
+		{"/v1/collective", `{"collectives":"all-to-all"}`, http.StatusBadRequest}, // unknown field
+		{"/v1/collective", `not json`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		if w := post(s, c.path, c.body); w.Code != c.want {
 			t.Errorf("POST %s %s = %d, want %d (body %s)", c.path, c.body, w.Code, c.want, w.Body)
 		}
 	}
-	if w := get(s, "/v1/eval"); w.Code != http.StatusMethodNotAllowed {
-		t.Errorf("GET /v1/eval = %d, want 405", w.Code)
+	for _, path := range []string{"/v1/eval", "/v1/price", "/v1/plan", "/v1/fit", "/v1/collective"} {
+		w := get(s, path)
+		if w.Code != http.StatusMethodNotAllowed || w.Header().Get("Allow") != http.MethodPost {
+			t.Errorf("GET %s = %d Allow %q, want 405 Allow POST", path, w.Code, w.Header().Get("Allow"))
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package xfer
 import (
 	"fmt"
 
+	"ctcomm/internal/law"
 	"ctcomm/internal/machine"
 	"ctcomm/internal/memsim"
 	"ctcomm/internal/pattern"
@@ -20,12 +21,12 @@ import (
 //
 // with integer-valued A and D. A Law captures A and D from two probe
 // runs one period apart, verifies the fit bitwise on two further
-// probes, and then produces the memsim.Result for ANY eligible word
-// count by integer extrapolation (memsim.PredictLinear). Replaying
-// that Result through the transfer's own post-math (the *On functions)
-// yields an xfer.Result bit-identical to running the engine, because
-// the post-math consumes only fields derived from the extrapolated
-// integer fs values.
+// probes (the shared kernel, internal/law), and then produces the
+// memsim.Result for ANY eligible word count by integer extrapolation
+// (memsim.PredictLinear). Replaying that Result through the transfer's
+// own post-math (On) yields an xfer.Result bit-identical to running
+// the engine, because the post-math consumes only fields derived from
+// the extrapolated integer fs values.
 //
 // Applicability is decided by the memory system itself: processor-path
 // kinds use Memory.StreamPeriod (the fast-forward shape rule),
@@ -71,26 +72,19 @@ func (k Kind) String() string {
 	}
 }
 
-const (
-	// lawC1 and lawC2 are the period counts of the two fit probes; one
-	// period apart, past the longest warm-up the fast-forward layer
-	// itself tolerates (ffMaxProbe = 12 boundaries).
-	lawC1 = 16
-	lawC2 = 17
-	// lawC3 and lawC4 are the bitwise verification probes. Coprime
-	// offsets from the fit points so an accidental two-point fit of a
-	// non-affine curve cannot survive both.
-	lawC3 = 19
-	lawC4 = 23
-	// lawC5 is the far verification probe required when the fit probes
-	// lack the FastForwarded certificate: it sits well beyond the fit
-	// region, inside the range big sweeps actually ask for.
-	lawC5 = 64
-	// lawMaxPeriod caps the structural period a law will probe; the fit
-	// costs ~75 periods of simulation, which must stay well under the
-	// cost of the big runs the law replaces.
-	lawMaxPeriod = 4096
-)
+// lawPlan probes, in period counts: the fit pair 16,17 sits past the
+// longest warm-up the fast-forward layer itself tolerates (ffMaxProbe =
+// 12 boundaries); 19 and 23 are coprime offsets from it, so an
+// accidental two-point fit of a non-affine curve cannot survive both;
+// 64 is the far probe required when the fit probes lack the
+// FastForwarded certificate, well beyond the fit region and inside the
+// range big sweeps actually ask for.
+var lawPlan = law.Plan{Fit: [2]int64{16, 17}, Near: []int64{19, 23}, Far: 64}
+
+// lawMaxPeriod caps the structural period a law will probe; the fit
+// costs ~75 periods of simulation, which must stay well under the cost
+// of the big runs the law replaces.
+const lawMaxPeriod = 4096
 
 // constRunner replays one precomputed memory-half result through the
 // post-math of a transfer. It ignores its stream arguments by design:
@@ -103,6 +97,26 @@ func (c constRunner) RunStream(loads, stores *pattern.Stream, policy memsim.Inte
 func (c constRunner) EngineRead(st *pattern.Stream) memsim.Result  { return c.res }
 func (c constRunner) EngineWrite(st *pattern.Stream) memsim.Result { return c.res }
 
+// periodRunner is a MemRunner that, instead of simulating, records the
+// structural period of the schedule memPart hands it.
+type periodRunner struct {
+	mem *memsim.Memory
+	p   int
+}
+
+func (r *periodRunner) RunStream(loads, stores *pattern.Stream, policy memsim.InterleavePolicy) memsim.Result {
+	r.p = r.mem.StreamPeriod(loads, stores)
+	return memsim.Result{}
+}
+func (r *periodRunner) EngineRead(st *pattern.Stream) memsim.Result {
+	r.p = r.mem.EnginePeriod(st)
+	return memsim.Result{}
+}
+func (r *periodRunner) EngineWrite(st *pattern.Stream) memsim.Result {
+	r.p = r.mem.EnginePeriod(st)
+	return memsim.Result{}
+}
+
 // PeriodOf returns the structural steady-state period of the transfer's
 // memory half in payload words, or 0 when the shape admits no affine
 // law on machine m. Pure address/shape math; nothing is simulated.
@@ -110,69 +124,25 @@ func PeriodOf(m *machine.Machine, kind Kind, x, y pattern.Spec) int {
 	if x.Kind() == pattern.KindIndexed || y.Kind() == pattern.KindIndexed {
 		return 0
 	}
-	// Mirror the transfer functions' own admission checks: a shape the
-	// transfer rejects outright gets no law either.
-	switch kind {
-	case KindCopy:
-		if !x.IsMemory() || !y.IsMemory() {
-			return 0
-		}
-	case KindLoadSend:
-		if !x.IsMemory() {
-			return 0
-		}
-	case KindFetchSend:
-		if !m.Fetch.Supports(x) {
-			return 0
-		}
-	case KindRecvStore:
-		if !y.IsMemory() {
-			return 0
-		}
-	case KindRecvDeposit:
-		if !m.Deposit.Supports(y) {
-			return 0
-		}
-	}
-	// Representative streams only fix the shape; the period is
-	// length-independent. 8 words keeps indexed-permutation and
-	// footprint costs nil.
-	const w = 8
-	mem := memsim.MustNew(m.Mem)
-	var p int
-	switch kind {
-	case KindCopy:
-		rs, ws := streams(x, y, w)
-		p = mem.StreamPeriod(rs, ws.ForWrites())
-	case KindLoadSend:
-		rs, _ := streams(x, pattern.Contig(), w)
-		p = mem.StreamPeriod(rs, nil)
-	case KindFetchSend:
-		rs, _ := streams(x, pattern.Contig(), w)
-		p = mem.EnginePeriod(rs)
-	case KindRecvStore:
-		_, ws := streams(pattern.Contig(), y, w)
-		p = mem.StreamPeriod(nil, ws.ForWrites().NoIndexOverhead())
-	case KindRecvDeposit:
-		_, ws := streams(pattern.Contig(), y, w)
-		p = mem.EnginePeriod(ws)
-	}
-	if p > lawMaxPeriod {
+	// The transfer itself builds the schedule and applies its own
+	// admission checks: a shape it rejects outright gets no law either.
+	// 8 representative words only fix the shape; the period is
+	// length-independent.
+	r := &periodRunner{mem: memsim.MustNew(m.Mem)}
+	if _, err := On(m, r, kind, x, y, 8); err != nil || r.p > lawMaxPeriod {
 		return 0
 	}
-	return p
+	return r.p
 }
 
 // Law is a fitted, bitwise-verified affine word-count law for one basic
 // transfer shape on one machine, valid for word counts congruent to its
 // residue modulo its period.
 type Law struct {
-	m       *machine.Machine
-	kind    Kind
-	x, y    pattern.Spec
-	period  int
-	residue int
-	r1, r2  memsim.Result // fit probes at lawC1 and lawC2 periods + residue
+	m    *machine.Machine
+	kind Kind
+	x, y pattern.Spec
+	fit  *law.Fit[memsim.Result]
 }
 
 // FitLaw probes, fits and verifies the law for word counts congruent to
@@ -186,49 +156,39 @@ func FitLaw(m *machine.Machine, kind Kind, x, y pattern.Spec, residue int) *Law 
 	if p == 0 || residue < 0 || residue >= p {
 		return nil
 	}
-	run := func(c int) memsim.Result {
-		return memPart(memsim.MustNew(m.Mem), kind, x, y, c*p+residue)
+	fit := law.New(lawPlan, law.Family[memsim.Result]{
+		Period:  int64(p),
+		Residue: int64(residue),
+		Probe: func(words int64) (memsim.Result, bool) {
+			return memPart(memsim.MustNew(m.Mem), kind, x, y, int(words)), true
+		},
+		Line:  memsim.PredictLinear,
+		Equal: func(pred, got memsim.Result) bool { return pred == got },
+		// Without the fast-forward certificate on the fit probes (engine
+		// path, or a configuration whose snapshot recurrence never
+		// settles though its per-period cost is constant) demand the
+		// far probe too.
+		Check: func(r1, r2 memsim.Result) (bool, bool) {
+			return true, !(r1.FastForwarded && r2.FastForwarded)
+		},
+	})
+	if fit == nil {
+		return nil
 	}
-	l := &Law{m: m, kind: kind, x: x, y: y, period: p, residue: residue}
-	l.r1, l.r2 = run(lawC1), run(lawC2)
-	verify := []int{lawC3, lawC4}
-	if !(l.r1.FastForwarded && l.r2.FastForwarded) {
-		// No fast-forward certificate on the fit probes (engine path, or
-		// a configuration whose snapshot recurrence never settles even
-		// though its per-period cost is constant): demand a far probe too.
-		verify = append(verify, lawC5)
-	}
-	for _, c := range verify {
-		if l.predict(c*p+residue) != run(c) {
-			return nil
-		}
-	}
-	return l
+	return &Law{m: m, kind: kind, x: x, y: y, fit: fit}
 }
-
-// predict extrapolates the fitted law to words, which must be covered.
-func (l *Law) predict(words int) memsim.Result {
-	return memsim.PredictLinear(l.r1, l.r2, int64(words/l.period-lawC1))
-}
-
-// Period returns the law's structural period in payload words.
-func (l *Law) Period() int { return l.period }
 
 // Covers reports whether the law may answer for words: same residue
-// class, at or past the first fit probe, and (for two-stream copies)
-// a read footprint that still clears the write region.
+// class, at or past the first fit probe, at most law.MaxWords, and (for
+// two-stream copies) a read footprint that still clears the write
+// region.
 func (l *Law) Covers(words int) bool {
-	if words%l.period != l.residue || words < lawC1*l.period+l.residue {
+	if !l.fit.Covers(int64(words)) {
 		return false
 	}
-	if l.kind == KindCopy {
-		// The probes proved region disjointness at probe length; the
-		// target length must not grow the read side into the write base.
-		if pattern.NewStream(l.x, srcBase, words).Footprint() > dstBase {
-			return false
-		}
-	}
-	return true
+	// The probes proved region disjointness at probe length; the target
+	// length must not grow the read side into the write base.
+	return l.kind != KindCopy || pattern.NewStream(l.x, srcBase, words).Footprint() <= dstBase
 }
 
 // Eval produces the transfer result for words by integer extrapolation
@@ -238,19 +198,5 @@ func (l *Law) Eval(words int) (Result, error) {
 	if !l.Covers(words) {
 		return Result{}, fmt.Errorf("xfer: law %s %v/%v does not cover %d words", l.kind, l.x, l.y, words)
 	}
-	cr := constRunner{l.predict(words)}
-	switch l.kind {
-	case KindCopy:
-		return CopyOn(l.m, cr, l.x, l.y, words)
-	case KindLoadSend:
-		return LoadSendOn(l.m, cr, l.x, words)
-	case KindFetchSend:
-		return FetchSendOn(l.m, cr, l.x, words)
-	case KindRecvStore:
-		return RecvStoreOn(l.m, cr, l.y, words)
-	case KindRecvDeposit:
-		return RecvDepositOn(l.m, cr, l.y, words)
-	default:
-		return Result{}, fmt.Errorf("xfer: unknown transfer kind %v", l.kind)
-	}
+	return On(l.m, constRunner{l.fit.At(int64(words))}, l.kind, l.x, l.y, words)
 }

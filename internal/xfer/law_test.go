@@ -3,6 +3,7 @@ package xfer
 import (
 	"testing"
 
+	"ctcomm/internal/law"
 	"ctcomm/internal/machine"
 	"ctcomm/internal/memsim"
 	"ctcomm/internal/pattern"
@@ -52,27 +53,6 @@ func lawKinds() []struct {
 	return out
 }
 
-// engineEval runs the transfer kind on a fresh node — the point-query
-// reference the law must reproduce bit for bit.
-func engineEval(t *testing.T, m *machine.Machine, kind Kind, x, y pattern.Spec, words int) (Result, error) {
-	t.Helper()
-	n := m.NewNode(0)
-	switch kind {
-	case KindCopy:
-		return Copy(n, x, y, words)
-	case KindLoadSend:
-		return LoadSend(n, x, words)
-	case KindFetchSend:
-		return FetchSend(n, x, words)
-	case KindRecvStore:
-		return RecvStore(n, y, words)
-	case KindRecvDeposit:
-		return RecvDeposit(n, y, words)
-	}
-	t.Fatalf("unknown kind %v", kind)
-	return Result{}, nil
-}
-
 // TestLawBitIdentical is the xfer-level half of the analytic sweep
 // bit-identity contract: for every machine, transfer kind and eligible
 // pattern, Law.Eval must equal the fresh-node engine run EXACTLY — not
@@ -92,7 +72,7 @@ func TestLawBitIdentical(t *testing.T) {
 					// certify); the fallback path covers it.
 					continue
 				}
-				for _, c := range []int{lawC1, lawC2, lawC3 + 1, 64, 257} {
+				for _, c := range []int{int(lawPlan.Fit[0]), int(lawPlan.Fit[1]), int(lawPlan.Near[0]) + 1, 64, 257} {
 					words := c*p + residue
 					if !law.Covers(words) {
 						t.Errorf("%s %v %v/%v residue=%d: law must cover %d words", m.Name, tc.kind, tc.x, tc.y, residue, words)
@@ -103,7 +83,7 @@ func TestLawBitIdentical(t *testing.T) {
 						t.Errorf("%s %v %v/%v words=%d: Eval: %v", m.Name, tc.kind, tc.x, tc.y, words, err)
 						continue
 					}
-					want, err := engineEval(t, m, tc.kind, tc.x, tc.y, words)
+					want, err := On(m, m.NewNode(0).Mem, tc.kind, tc.x, tc.y, words)
 					if err != nil {
 						t.Errorf("%s %v %v/%v words=%d: engine: %v", m.Name, tc.kind, tc.x, tc.y, words, err)
 						continue
@@ -161,15 +141,38 @@ func TestLawFallbackBoundary(t *testing.T) {
 			t.Errorf("%s: residue == period must not fit", m.Name)
 		}
 		// Words below the first fit probe are not covered.
-		law := FitLaw(m, KindCopy, pattern.Contig(), pattern.Contig(), 0)
-		if law == nil {
+		l := FitLaw(m, KindCopy, pattern.Contig(), pattern.Contig(), 0)
+		if l == nil {
 			t.Fatalf("%s: contiguous copy law must fit", m.Name)
 		}
-		if law.Covers(lawC1*p - p) {
-			t.Errorf("%s: %d words (below fit probe) must not be covered", m.Name, lawC1*p-p)
+		c1 := int(lawPlan.Fit[0])
+		if l.Covers(c1*p - p) {
+			t.Errorf("%s: %d words (below fit probe) must not be covered", m.Name, c1*p-p)
 		}
-		if law.Covers(lawC1*p + 1) {
+		if l.Covers(c1*p + 1) {
 			t.Errorf("%s: wrong residue must not be covered", m.Name)
+		}
+		// Past law.MaxWords nothing is covered, even in the residue
+		// class: the int64-fs extrapolation would wrap (a strided-64
+		// load-send read 4x its true rate at 2^40 words), and a strided
+		// copy's read footprint wraps back under the write base at 2^56.
+		for _, tc := range []struct {
+			kind Kind
+			x, y pattern.Spec
+		}{
+			{KindLoadSend, pattern.Strided(64), pattern.Spec{}},
+			{KindCopy, pattern.Strided(64), pattern.Strided(64)},
+		} {
+			p := PeriodOf(m, tc.kind, tc.x, tc.y)
+			l := FitLaw(m, tc.kind, tc.x, tc.y, 0)
+			if l == nil {
+				continue
+			}
+			for _, words := range []int{law.MaxWords + p, 1 << 40, 1 << 56} {
+				if words -= words % p; l.Covers(words) {
+					t.Errorf("%s %v %v/%v: %d words (past law.MaxWords) must not be covered", m.Name, tc.kind, tc.x, tc.y, words)
+				}
+			}
 		}
 	}
 }

@@ -210,6 +210,27 @@ func RecvDepositOn(m *machine.Machine, mem MemRunner, write pattern.Spec, words 
 	}, nil
 }
 
+// On runs the basic transfer of the given kind with an explicit memory
+// backend. x is the read-side pattern (Copy, LoadSend, FetchSend), y the
+// write-side pattern (Copy, RecvStore, RecvDeposit); the unused side is
+// ignored.
+func On(m *machine.Machine, mem MemRunner, kind Kind, x, y pattern.Spec, words int) (Result, error) {
+	switch kind {
+	case KindCopy:
+		return CopyOn(m, mem, x, y, words)
+	case KindLoadSend:
+		return LoadSendOn(m, mem, x, words)
+	case KindFetchSend:
+		return FetchSendOn(m, mem, x, words)
+	case KindRecvStore:
+		return RecvStoreOn(m, mem, y, words)
+	case KindRecvDeposit:
+		return RecvDepositOn(m, mem, y, words)
+	default:
+		return Result{}, fmt.Errorf("xfer: unknown transfer kind %v", kind)
+	}
+}
+
 // memPart runs the memory-system half of one basic transfer. Stream
 // construction lives here, in ONE place, so the engine path, the law
 // prober and the analytic replay all drive byte-identical schedules.

@@ -178,57 +178,6 @@ func TestResultMBps(t *testing.T) {
 	}
 }
 
-// referenceInterleave is the zip the deleted slice path used to build:
-// payload words alternate read, write, each preceded by its own side's
-// overhead loads. RunStream must schedule identically.
-func referenceInterleave(reads, writes []pattern.Access) []pattern.Access {
-	out := make([]pattern.Access, 0, len(reads)+len(writes))
-	i, j := 0, 0
-	for i < len(reads) || j < len(writes) {
-		for i < len(reads) && reads[i].Overhead {
-			out = append(out, reads[i])
-			i++
-		}
-		if i < len(reads) {
-			out = append(out, reads[i])
-			i++
-		}
-		for j < len(writes) && writes[j].Overhead {
-			out = append(out, writes[j])
-			j++
-		}
-		if j < len(writes) {
-			out = append(out, writes[j])
-			j++
-		}
-	}
-	return out
-}
-
-func TestCopyMatchesSlicePath(t *testing.T) {
-	// The streaming copy must be bit-identical to interleaving
-	// materialized access slices and running them through memsim.Run.
-	specs := []pattern.Spec{
-		pattern.Contig(), pattern.Strided(64), pattern.StridedBlock(64, 2), pattern.Indexed(),
-	}
-	for _, m := range machine.Profiles() {
-		for _, read := range specs {
-			for _, write := range specs {
-				words := 1 << 10
-				rs, ws := streams(read, write, words)
-				ref := m.NewNode(0).Mem.Run(referenceInterleave(rs.Accesses(false), ws.Accesses(true)))
-				got := m.NewNode(0).Mem.RunStream(rs, ws.ForWrites(), memsim.InterleaveWordwise)
-				// The slice path never fast-forwards; the provenance flag
-				// is outside the exactness contract (see memsim.Result).
-				got.FastForwarded = false
-				if got != ref {
-					t.Errorf("%s %vC%v: RunStream %+v != Run %+v", m.Name, read, write, got, ref)
-				}
-			}
-		}
-	}
-}
-
 // TestFastForwardDifferentialMachines runs the experiment suite's
 // transfer shapes (tab1/tab2/tab3 patterns and the fig4 stride sweep) on
 // the real machine profiles with fast-forward on vs. off and requires

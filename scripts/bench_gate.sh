@@ -1,204 +1,105 @@
 #!/bin/sh
-# bench_gate.sh — sweep-throughput regression gate.
+# bench_gate.sh — benchmark regression gate.
 #
-# Compares a fresh BenchmarkSweep run against the most recent
-# BenchmarkSweep entry in the checked-in BENCH_sweep.json trajectory
-# and FAILS when rows/sec regresses by more than 25%. Run by the CI
-# bench-gate job on every PR and mirrored locally by `make ci`.
+# Runs every benchmark in the GATES table BENCH_GATE_RUNS times, keeps
+# the best run (best-of-N tempers scheduler noise), and compares it
+# against the most recent entry for that benchmark in its checked-in
+# trajectory file. It FAILS when any gate's best run is past its
+# threshold, a ratio of that baseline. Run by the CI bench-gate job on
+# every PR and mirrored locally by `make ci`.
+#
+# The gates:
+# - BenchmarkSweep: price-sweep rows/sec must stay at or above 75% of
+#   the baseline.
+# - BenchmarkServeMixed: serve-stack ns/op must stay within 2x. The
+#   looser threshold catches the handler stack falling off a cliff, not
+#   10% mux noise; 1000 iterations amortize mux warmup without the full
+#   1s recording run.
+# - BenchmarkCollectivePlan: collective-planner ns/op within 2x, at 100
+#   iterations.
+# - BenchmarkCollectiveSweep: words-law collective-sweep rows/sec at or
+#   above 75%. This keeps words-axis collective sweeps sub-linear (laws
+#   engaged): falling back to per-cell evaluation drops throughput by
+#   two orders of magnitude. Its engine reference
+#   (BenchmarkCollectiveSweepEngine) is recorded for the trajectory but
+#   not gated.
 #
 # Intentional regressions (e.g. a correctness fix that costs
 # throughput): apply the `bench-regression-ok` label to the PR — the CI
-# job maps it to ALLOW_BENCH_REGRESSION=1, which downgrades the failure
-# to a warning — and record the new baseline with `make bench-record`
-# in the same PR so the trajectory documents the step.
-#
-# The serve-stack trajectory (BENCH_serve.json, BenchmarkServeMixed)
-# is ENFORCED as well, best-of-N like the sweep check, pinned at
-# -benchtime 1000x (enough iterations to amortize mux warmup without
-# the full 1s recording run) and with a looser threshold (2x baseline,
-# vs the sweep's 1.33x): it exists to catch the handler stack falling
-# off a cliff, not 10% mux noise. ALLOW_BENCH_REGRESSION downgrades it
-# the same way it downgrades the sweep gate.
-#
-# The collective-planner trajectory (BENCH_collective.json,
-# BenchmarkCollectivePlan) is enforced the same way as the serve
-# check: best-of-N at -benchtime 100x, ns/op must stay within 2x the
-# latest recorded baseline.
-#
-# The collective words-law sweep (BENCH_collective.json,
-# BenchmarkCollectiveSweep) is enforced like the price sweep:
-# best-of-N at -benchtime 1x, rows/sec must stay at or above 75% of
-# the latest recorded baseline — this is the gate that keeps words-axis
-# collective sweeps sub-linear (laws engaged), since falling back to
-# per-cell evaluation drops throughput by two orders of magnitude. Its
-# engine reference (BenchmarkCollectiveSweepEngine) is recorded for the
-# trajectory but not gated.
+# job maps it to ALLOW_BENCH_REGRESSION=1, which downgrades every gate
+# failure to a warning — and record the new baseline with
+# `make bench-record` in the same PR so the trajectory documents the
+# step.
 #
 # Environment: GO (default "go"), ALLOW_BENCH_REGRESSION (default 0),
-# BENCH_GATE_RUNS (best-of runs, default 3, tempering scheduler noise).
+# BENCH_GATE_RUNS (best-of runs, default 3).
 set -eu
 
 cd "$(dirname "$0")/.."
 GO="${GO:-go}"
 RUNS="${BENCH_GATE_RUNS:-3}"
-BASELINE_FILE="BENCH_sweep.json"
 
-baseline="$(grep '"name":"BenchmarkSweep"' "$BASELINE_FILE" | tail -1 \
-	| sed -n 's/.*"rows_per_sec":\([0-9.eE+]*\).*/\1/p')"
-if [ -z "$baseline" ]; then
-	echo "bench_gate: no BenchmarkSweep rows_per_sec baseline in $BASELINE_FILE" >&2
-	echo "bench_gate: record one with 'make bench-record' and commit it" >&2
-	exit 1
-fi
+# One gate per line. metric is the trajectory JSON key; the go test
+# unit is derived from it (rows_per_sec -> rows/sec, ns_per_op ->
+# ns/op). direction says which way is better; threshold is the ratio
+# of the baseline the best run must stay at or beyond.
+#
+# file                  benchmark                package                metric       direction threshold benchtime
+GATES='
+BENCH_sweep.json        BenchmarkSweep           ./internal/sweep/      rows_per_sec higher    0.75      1x
+BENCH_serve.json        BenchmarkServeMixed      ./internal/serve/      ns_per_op    lower     2.0       1000x
+BENCH_collective.json   BenchmarkCollectivePlan  ./internal/collective/ ns_per_op    lower     2.0       100x
+BENCH_collective.json   BenchmarkCollectiveSweep ./internal/sweep/      rows_per_sec higher    0.75      1x
+'
 
-best=0
-i=0
-while [ "$i" -lt "$RUNS" ]; do
-	i=$((i + 1))
-	out="$("$GO" test -bench 'BenchmarkSweep$' -benchtime 1x -run '^$' ./internal/sweep/)"
-	cur="$(printf '%s\n' "$out" | awk '$1 ~ /^BenchmarkSweep/ {
-		for (i = 1; i < NF; i++) if ($(i + 1) == "rows/sec") print $i }')"
-	if [ -z "$cur" ]; then
-		echo "bench_gate: BenchmarkSweep reported no rows/sec:" >&2
-		printf '%s\n' "$out" >&2
+fail=0
+while read -r file bench pkg metric direction threshold benchtime; do
+	[ -n "$file" ] || continue
+	unit="$(printf '%s' "$metric" | sed 's#_per_#/#')"
+	base="$(grep "\"name\":\"$bench\"" "$file" 2>/dev/null | tail -1 \
+		| sed -n "s/.*\"$metric\":\([0-9.eE+]*\).*/\1/p")"
+	if [ -z "$base" ]; then
+		echo "bench_gate: no $bench $metric baseline in $file" >&2
+		echo "bench_gate: record one with 'make bench-record' and commit it" >&2
 		exit 1
 	fi
-	echo "run $i/$RUNS: $cur rows/sec"
-	best="$(awk -v a="$best" -v b="$cur" 'BEGIN { print (b > a) ? b : a }')"
-done
 
-# Serve-stack check (enforced), before the sweep verdict so a sweep
-# failure does not hide a serve regression from the log.
-SERVE_FILE="BENCH_serve.json"
-serve_fail=0
-serve_base="$(grep '"name":"BenchmarkServeMixed"' "$SERVE_FILE" 2>/dev/null | tail -1 \
-	| sed -n 's/.*"ns_per_op":\([0-9.eE+]*\).*/\1/p')"
-if [ -z "$serve_base" ]; then
-	echo "bench_gate: no BenchmarkServeMixed baseline in $SERVE_FILE" >&2
-	echo "bench_gate: record one with 'make bench-record' and commit it" >&2
-	exit 1
-fi
-serve_best=""
-i=0
-while [ "$i" -lt "$RUNS" ]; do
-	i=$((i + 1))
-	sout="$("$GO" test -bench 'BenchmarkServeMixed$' -benchtime 1000x -run '^$' ./internal/serve/)"
-	serve_cur="$(printf '%s\n' "$sout" | awk '$1 ~ /^BenchmarkServeMixed/ {
-		for (i = 1; i < NF; i++) if ($(i + 1) == "ns/op") print $i }')"
-	if [ -z "$serve_cur" ]; then
-		echo "bench_gate: BenchmarkServeMixed reported no ns/op:" >&2
-		printf '%s\n' "$sout" >&2
-		exit 1
-	fi
-	echo "serve run $i/$RUNS: $serve_cur ns/op"
-	if [ -z "$serve_best" ]; then
-		serve_best="$serve_cur"
+	best=""
+	i=0
+	while [ "$i" -lt "$RUNS" ]; do
+		i=$((i + 1))
+		out="$("$GO" test -bench "$bench\$" -benchtime "$benchtime" -run '^$' "$pkg" </dev/null)"
+		cur="$(printf '%s\n' "$out" | awk -v b="^$bench" -v u="$unit" '$1 ~ b {
+			for (i = 1; i < NF; i++) if ($(i + 1) == u) print $i }')"
+		if [ -z "$cur" ]; then
+			echo "bench_gate: $bench reported no $unit:" >&2
+			printf '%s\n' "$out" >&2
+			exit 1
+		fi
+		echo "$bench run $i/$RUNS: $cur $unit"
+		best="$(awk -v a="$best" -v b="$cur" -v d="$direction" 'BEGIN {
+			print (a == "" || (d == "higher" ? b > a : b < a)) ? b : a }')"
+	done
+
+	ok="$(awk -v c="$best" -v b="$base" -v t="$threshold" -v d="$direction" 'BEGIN {
+		print (d == "higher" ? c >= t * b : c <= t * b) ? 1 : 0 }')"
+	verdict="best $best $unit vs baseline $base, threshold ${threshold}x baseline, $direction is better"
+	if [ "$ok" = "1" ]; then
+		echo "bench_gate: $bench ok ($verdict)"
+	elif [ "${ALLOW_BENCH_REGRESSION:-0}" = "1" ]; then
+		echo "bench_gate: $bench REGRESSION ($verdict) but ALLOW_BENCH_REGRESSION=1; passing with a warning" >&2
 	else
-		serve_best="$(awk -v a="$serve_best" -v b="$serve_cur" 'BEGIN { print (b < a) ? b : a }')"
+		echo "bench_gate: FAIL — $bench regressed ($verdict)" >&2
+		fail=1
 	fi
-done
-serve_ok="$(awk -v cur="$serve_best" -v base="$serve_base" 'BEGIN { print (cur <= 2.0 * base) ? 1 : 0 }')"
-if [ "$serve_ok" = "1" ]; then
-	echo "bench_gate: serve check ok (best $serve_best ns/op vs baseline $serve_base, threshold 200%)"
-elif [ "${ALLOW_BENCH_REGRESSION:-0}" = "1" ]; then
-	echo "bench_gate: serve REGRESSION >2x but ALLOW_BENCH_REGRESSION=1; passing with a warning" >&2
-else
-	echo "bench_gate: FAIL pending — BenchmarkServeMixed best $serve_best ns/op is >2x baseline $serve_base" >&2
-	serve_fail=1
-fi
+done <<EOF
+$GATES
+EOF
 
-# Collective-planner check (enforced), same shape as the serve check.
-COLL_FILE="BENCH_collective.json"
-coll_fail=0
-coll_base="$(grep '"name":"BenchmarkCollectivePlan"' "$COLL_FILE" 2>/dev/null | tail -1 \
-	| sed -n 's/.*"ns_per_op":\([0-9.eE+]*\).*/\1/p')"
-if [ -z "$coll_base" ]; then
-	echo "bench_gate: no BenchmarkCollectivePlan baseline in $COLL_FILE" >&2
-	echo "bench_gate: record one with 'make bench-record' and commit it" >&2
+if [ "$fail" = "1" ]; then
+	echo "bench_gate: FAIL — a gate regressed past its threshold (see above)." >&2
+	echo "bench_gate: if intentional, apply the 'bench-regression-ok' PR label and re-record" >&2
+	echo "bench_gate: the baseline with 'make bench-record' in the same PR." >&2
 	exit 1
 fi
-coll_best=""
-i=0
-while [ "$i" -lt "$RUNS" ]; do
-	i=$((i + 1))
-	cout="$("$GO" test -bench 'BenchmarkCollectivePlan$' -benchtime 100x -run '^$' ./internal/collective/)"
-	coll_cur="$(printf '%s\n' "$cout" | awk '$1 ~ /^BenchmarkCollectivePlan/ {
-		for (i = 1; i < NF; i++) if ($(i + 1) == "ns/op") print $i }')"
-	if [ -z "$coll_cur" ]; then
-		echo "bench_gate: BenchmarkCollectivePlan reported no ns/op:" >&2
-		printf '%s\n' "$cout" >&2
-		exit 1
-	fi
-	echo "collective run $i/$RUNS: $coll_cur ns/op"
-	if [ -z "$coll_best" ]; then
-		coll_best="$coll_cur"
-	else
-		coll_best="$(awk -v a="$coll_best" -v b="$coll_cur" 'BEGIN { print (b < a) ? b : a }')"
-	fi
-done
-coll_ok="$(awk -v cur="$coll_best" -v base="$coll_base" 'BEGIN { print (cur <= 2.0 * base) ? 1 : 0 }')"
-if [ "$coll_ok" = "1" ]; then
-	echo "bench_gate: collective check ok (best $coll_best ns/op vs baseline $coll_base, threshold 200%)"
-elif [ "${ALLOW_BENCH_REGRESSION:-0}" = "1" ]; then
-	echo "bench_gate: collective REGRESSION >2x but ALLOW_BENCH_REGRESSION=1; passing with a warning" >&2
-else
-	echo "bench_gate: FAIL pending — BenchmarkCollectivePlan best $coll_best ns/op is >2x baseline $coll_base" >&2
-	coll_fail=1
-fi
-
-# Collective words-law sweep check (enforced): rows/sec against the
-# latest BenchmarkCollectiveSweep baseline, 75% threshold like the
-# price sweep.
-csweep_fail=0
-csweep_base="$(grep '"name":"BenchmarkCollectiveSweep"' "$COLL_FILE" 2>/dev/null | tail -1 \
-	| sed -n 's/.*"rows_per_sec":\([0-9.eE+]*\).*/\1/p')"
-if [ -z "$csweep_base" ]; then
-	echo "bench_gate: no BenchmarkCollectiveSweep rows_per_sec baseline in $COLL_FILE" >&2
-	echo "bench_gate: record one with 'make bench-record' and commit it" >&2
-	exit 1
-fi
-csweep_best=0
-i=0
-while [ "$i" -lt "$RUNS" ]; do
-	i=$((i + 1))
-	wout="$("$GO" test -bench 'BenchmarkCollectiveSweep$' -benchtime 1x -run '^$' ./internal/sweep/)"
-	csweep_cur="$(printf '%s\n' "$wout" | awk '$1 ~ /^BenchmarkCollectiveSweep/ {
-		for (i = 1; i < NF; i++) if ($(i + 1) == "rows/sec") print $i }')"
-	if [ -z "$csweep_cur" ]; then
-		echo "bench_gate: BenchmarkCollectiveSweep reported no rows/sec:" >&2
-		printf '%s\n' "$wout" >&2
-		exit 1
-	fi
-	echo "collective sweep run $i/$RUNS: $csweep_cur rows/sec"
-	csweep_best="$(awk -v a="$csweep_best" -v b="$csweep_cur" 'BEGIN { print (b > a) ? b : a }')"
-done
-csweep_ok="$(awk -v cur="$csweep_best" -v base="$csweep_base" 'BEGIN { print (cur >= 0.75 * base) ? 1 : 0 }')"
-if [ "$csweep_ok" = "1" ]; then
-	echo "bench_gate: collective sweep check ok (best $csweep_best rows/sec vs baseline $csweep_base, threshold 75%)"
-elif [ "${ALLOW_BENCH_REGRESSION:-0}" = "1" ]; then
-	echo "bench_gate: collective sweep REGRESSION >25% but ALLOW_BENCH_REGRESSION=1; passing with a warning" >&2
-else
-	echo "bench_gate: FAIL pending — BenchmarkCollectiveSweep best $csweep_best rows/sec is <75% of baseline $csweep_base" >&2
-	csweep_fail=1
-fi
-
-echo "bench_gate: best $best rows/sec, baseline $baseline rows/sec (threshold: 75% of baseline)"
-ok="$(awk -v cur="$best" -v base="$baseline" 'BEGIN { print (cur >= 0.75 * base) ? 1 : 0 }')"
-if [ "$ok" = "1" ]; then
-	if [ "$serve_fail" = "1" ] || [ "$coll_fail" = "1" ] || [ "$csweep_fail" = "1" ]; then
-		echo "bench_gate: FAIL — a per-subsystem check failed (see above)." >&2
-		echo "bench_gate: if intentional, apply the 'bench-regression-ok' PR label and re-record" >&2
-		echo "bench_gate: the baseline with 'make bench-record' in the same PR." >&2
-		exit 1
-	fi
-	echo "bench_gate: PASS"
-	exit 0
-fi
-if [ "${ALLOW_BENCH_REGRESSION:-0}" = "1" ]; then
-	echo "bench_gate: REGRESSION >25% but ALLOW_BENCH_REGRESSION=1 (bench-regression-ok label); passing with a warning" >&2
-	exit 0
-fi
-echo "bench_gate: FAIL — BenchmarkSweep regressed more than 25% vs the checked-in baseline." >&2
-echo "bench_gate: if intentional, apply the 'bench-regression-ok' PR label and re-record" >&2
-echo "bench_gate: the baseline with 'make bench-record' in the same PR." >&2
-exit 1
+echo "bench_gate: PASS"
